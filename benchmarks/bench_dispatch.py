@@ -15,17 +15,25 @@ Two measurement layers, both written to ``benchmarks/BENCH_dispatch.json``:
   ``schedule`` block — run-length histograms before/after the
   run-lengthening scheduler and the scheduled vector time — plus the
   per-state ``vector_speedup_vs_arrays`` headline metric.
+* **Generation level** — the one-off work before a fused strategy can
+  run: ``fuse_program`` and building each strategy's kernel (or, for
+  ``arrays``, its plan), per grid point.  These samples fit the cost
+  model's per-op ``generation`` coefficients.
 * **Dispatch level** — the Monte-Carlo repetition workload (zero inputs,
-  per-lane counters, random outcomes) through a persistent
-  :class:`~repro.sim.dispatch.ShardPool` against the single-process
-  codegen run it shards — the comparison ``mc_expected_counts`` 's
-  ``execution="auto"`` actually decides, including the measured parallel
-  efficiency ``codegen / (sharded * shards)``.
+  per-lane counters, random outcomes): the scalar VM and the fused
+  codegen kernel, each as a one-shot estimate pays for it (the codegen
+  time includes fusion and generation) — the comparison
+  ``mc_expected_counts``'s ``execution="auto"`` actually decides — plus
+  a persistent :class:`~repro.sim.dispatch.ShardPool` against the
+  single-process codegen run it shards, with the measured parallel
+  efficiency ``codegen / (sharded * shards)`` (sharding runs only when
+  asked for by name).
 
 Floors asserted by ``test_report_dispatch``:
 
 * the model's pick is within ``AUTO_FACTOR`` of the best *measured*
-  strategy on every grid point (the whole point of auto-selection);
+  strategy on every grid point (the whole point of auto-selection), both
+  for steady-state runs and for the one-shot Monte-Carlo estimate;
 * the vector kernel beats the legacy arrays interpreter on every grid
   point (>= 2x at the large smoke point under ``BENCH_DISPATCH_SMOKE=1``
   — the CI perf-smoke floor);
@@ -55,6 +63,7 @@ from _harness import (
 from repro.modular import build_modadd
 from repro.sim import RandomOutcomes, ShardPool
 from repro.sim.dispatch.cost import CostModel, fit_calibration
+from repro.sim.kernels import _build_arrays_plan, build_kernel, build_vector_kernel
 from repro.transform import compile_program, fuse_program
 
 SMOKE = env_flag("BENCH_DISPATCH_SMOKE")
@@ -82,6 +91,16 @@ def _schema(obj, prefix=""):
             keys.add(prefix + str(k))
             keys |= _schema(v, prefix + str(k) + ".")
     return keys
+
+
+def _best_seconds(fn, rounds):
+    """Best-of wall clock of ``fn()`` (one-off work: a fresh call per round)."""
+    times = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
 
 
 def _mc_sim(circuit, batch):
@@ -171,16 +190,46 @@ def test_dispatch_grid(benchmark, n, batch):
         "scheduled_speedup": vec_seconds / sched_seconds,
     }
 
-    # Dispatch level: the MC repetition workload (what execution="auto"
-    # decides) — persistent pool, per-lane counters, zero register inputs.
-    cores = os.cpu_count() or 1
+    # Generation level: fusion plus kernel (or plan) building, one-off
+    # work per program, timed on fresh fusions so nothing is cached.
     prog_t, fused_t = programs[True]
+    ops_t = len(prog_t)
+    generation = {
+        "fuse": _best_seconds(
+            lambda: fuse_program(prog_t, memoize=False), ROUNDS
+        ),
+        "codegen": _best_seconds(
+            lambda: build_kernel(fused_t, events=True), ROUNDS
+        ),
+        "vector": _best_seconds(
+            lambda: build_vector_kernel(fused_t, events=True), ROUNDS
+        ),
+        "arrays": _best_seconds(lambda: _build_arrays_plan(fused_t), ROUNDS),
+    }
+    point["generation"] = {"ops": ops_t, "seconds": dict(generation)}
+    _SAMPLES.extend(
+        {"generation": name, "ops": ops_t, "seconds": secs}
+        for name, secs in generation.items()
+    )
+
+    # Dispatch level: the MC repetition workload (what execution="auto"
+    # decides) — per-lane counters, zero register inputs.
+    cores = os.cpu_count() or 1
     shards = max(2, min(cores, batch // 512))
+    mc_scalar = best_of(
+        lambda: _mc_sim(built.circuit, batch),
+        lambda s: s.run_compiled(prog_t, fused=False),
+        rounds=ROUNDS,
+    )
     mc_codegen = best_of(
         lambda: _mc_sim(built.circuit, batch),
         lambda s: s.run_compiled(fused_t),
         rounds=ROUNDS,
     )
+    one_shot = {
+        "scalar": mc_scalar,
+        "codegen": generation["fuse"] + generation["codegen"] + mc_codegen,
+    }
     with ShardPool(
         fused_t, batch=batch, shards=shards, tally=False,
         lane_counts=MC_GATES,
@@ -195,8 +244,11 @@ def test_dispatch_grid(benchmark, n, batch):
     efficiency = mc_codegen / (mc_sharded * shards)
     point["mc_workload"] = {
         "gates": list(MC_GATES),
+        "ops": ops_t,
         "shards": shards,
         "cores": cores,
+        "one_shot_seconds": one_shot,
+        "scalar_seconds": mc_scalar,
         "codegen_seconds": mc_codegen,
         "sharded_seconds": mc_sharded,
         "sharded_speedup": mc_codegen / mc_sharded,
@@ -204,9 +256,7 @@ def test_dispatch_grid(benchmark, n, batch):
     }
     if cores >= shards:
         # Only cores-backed shards inform the fitted parallel efficiency:
-        # a 1-core box times GIL contention, not parallel speedup, and
-        # would poison the checked-in table for multi-core hosts (where
-        # the capability filter is what keeps 1-core boxes off sharding).
+        # a 1-core box times GIL contention, not parallel speedup.
         _SAMPLES.append({
             "backend": "sharded", "ops": len(prog_t), "batch": batch,
             "tally": False, "shards": shards, "seconds": mc_sharded,
@@ -266,6 +316,20 @@ def test_report_dispatch(benchmark, capsys):
             }
             point[state]["auto_choice"] = choice
             point[state]["auto_factor"] = factor
+        # The one-shot Monte-Carlo estimate: generation priced in.
+        mc = point["mc_workload"]
+        seconds = mc["one_shot_seconds"]
+        choice = model.choose(
+            ops=mc["ops"], batch=point["batch"], tally=True, lane_counts=True,
+            candidates=tuple(seconds), repeats=1,
+        )
+        best_name = min(seconds, key=seconds.get)
+        factor = seconds[choice] / seconds[best_name]
+        auto[f"{key}_mc_one_shot"] = {
+            "choice": choice, "best": best_name, "factor": factor,
+        }
+        mc["auto_choice"] = choice
+        mc["auto_factor"] = factor
 
     payload = {
         "benchmark": "dispatch_ladder_and_auto_selection",
@@ -287,6 +351,12 @@ def test_report_dispatch(benchmark, capsys):
             + "  ".join(f"{name}={secs[name]*1e3:8.2f}ms" for name in secs)
             + f"  auto->{point['tally_on']['auto_choice']}"
             f" ({point['tally_on']['auto_factor']:.2f}x of best)"
+        )
+        lines.append(
+            f"  {'':11s} mc one-shot: scalar="
+            f"{mc['one_shot_seconds']['scalar']*1e3:8.2f}ms  "
+            f"codegen+gen={mc['one_shot_seconds']['codegen']*1e3:8.2f}ms  "
+            f"auto->{mc['auto_choice']} ({mc['auto_factor']:.2f}x of best)"
         )
         lines.append(
             f"  {'':11s} mc: codegen={mc['codegen_seconds']*1e3:8.2f}ms  "

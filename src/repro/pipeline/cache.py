@@ -317,21 +317,24 @@ class CircuitCache:
         return counted
 
     def program(self, spec: CircuitSpec, tally: bool = True, schedule: bool = False):
-        """Memoized compiled+fused bit-plane program for the spec's circuit.
+        """Memoized compiled bit-plane program for the spec's circuit.
 
         This is the pipeline-wide program reuse point: every Monte-Carlo
         estimate of the same (spec, transforms) cell — across tables,
         savings summaries and repetitions — executes one
-        :class:`~repro.transform.compile.FusedProgram` (whose generated
-        kernel is itself cached on the program).  Raises
-        :class:`~repro.sim.classical.UnsupportedGateError` for circuits
-        without basis-state semantics, like the builders themselves would
-        at simulation time.
+        :class:`~repro.transform.compile.CompiledProgram`.  Nothing is
+        fused or generated here: the scalar VM runs the compiled program
+        as it is, and when a strategy needs the fused form,
+        :func:`~repro.transform.compile.fuse_program` builds it on demand
+        and memoizes it (and with it the generated kernel) for this
+        program.  Raises :class:`~repro.sim.classical.UnsupportedGateError`
+        for circuits without basis-state semantics, like the builders
+        themselves would at simulation time.
 
         ``schedule`` is part of the memo key: the run-lengthening
         scheduler (:func:`~repro.transform.compile.schedule_program`)
-        produces a differently-grouped (bit-identical-result) program, so
-        scheduled and unscheduled requests must never alias — keying by
+        produces a reordered (bit-identical-result) program, so scheduled
+        and unscheduled requests must never alias — keying by
         ``(spec, tally)`` alone silently pinned whichever variant was
         compiled first and made the scheduled/vector rung unreachable
         from the pipeline.
@@ -355,16 +358,12 @@ class CircuitCache:
             waiter.wait()
         try:
             built = self.build(spec)
-            from ..transform.compile import compile_program, fuse_program
+            from ..transform.compile import compile_program, schedule_program
 
             try:
-                # This cache holds the FusedProgram itself, so the module-level
-                # fusion memo must not additionally pin the throwaway key.
-                program = fuse_program(
-                    compile_program(built.circuit, tally=tally),
-                    memoize=False,
-                    schedule=schedule,
-                )
+                program = compile_program(built.circuit, tally=tally)
+                if schedule:
+                    program = schedule_program(program)
             except UnsupportedGateError as exc:
                 with self._lock:
                     self.stats.program_misses += 1

@@ -12,10 +12,11 @@ closed-form expectation.
 
 Determinism: estimates depend only on ``(seed, batch, repeats)`` — never
 on wall clock, worker scheduling or platform, and not on the execution
-strategy either: the default compiled path (one fused program re-run
-across all repetitions on one reset simulator; see
-``docs/performance.md``) consumes the exact same per-repetition outcome
-streams as the interpretive walk, so the estimates are bit-identical.
+strategy either: the default compiled path (one compiled program re-run
+across all repetitions on one reset simulator, on the scalar VM or a
+generated kernel; see ``docs/performance.md``) consumes the exact same
+per-repetition outcome streams as the interpretive walk, so the
+estimates are bit-identical.
 :func:`derive_seed` folds an arbitrary task key into an independent
 63-bit seed with SHA-256, which is how the sweep runner gives every
 (table, n, row, variant) cell its own reproducible stream.
@@ -63,15 +64,20 @@ class MCEstimate(LaneTallyStats):
     ``samples`` is ``batch * repeats``.
 
     ``compile_seconds``/``run_seconds`` expose the compile/run split of the
-    estimate's wall time: compilation happens (at most) once per circuit —
-    zero when a pre-built program was supplied — while the run time covers
-    every repetition executed against the one compiled program.
+    estimate's wall time: ``compile_seconds`` covers whatever compilation,
+    fusion and kernel generation this call did (zero when the supplied
+    program already held everything the chosen strategy needs), while the
+    run time covers every repetition executed against the one program.
+    ``strategy`` names what the repetitions ran on: ``"interpretive"``,
+    ``"scalar"``, a fused kernel (``"codegen"``, ``"vector"``,
+    ``"arrays"``) or ``"sharded"``.
     """
 
     gates: Tuple[str, ...] = ()
     seed: int = 0
     compile_seconds: float = 0.0
     run_seconds: float = 0.0
+    strategy: str = ""
 
 
 def _circuit_of(target) -> Circuit:
@@ -108,31 +114,35 @@ def mc_expected_counts(
 
     ``compiled=True`` (the default) compiles the circuit *once* — or takes
     a pre-built ``program`` (a
-    :class:`~repro.transform.compile.FusedProgram` or
     :class:`~repro.transform.compile.CompiledProgram`, e.g. from
-    :meth:`~repro.pipeline.cache.CircuitCache.program`) — and re-runs it
-    for every repetition on one simulator whose plane buffers are reset in
+    :meth:`~repro.pipeline.cache.CircuitCache.program`, or a
+    :class:`~repro.transform.compile.FusedProgram`) — and re-runs it for
+    every repetition on one simulator whose plane buffers are reset in
     place, instead of rebuilding execution state per repetition.  Results
     are bit-identical to the interpretive path (``compiled=False``): the
     estimate still depends only on ``(seed, batch, repeats)``.
 
-    ``execution`` selects how the compiled repetitions run: ``"single"``
-    (one in-process simulator), ``"sharded"`` (lane-sharded across a
-    persistent worker pool — :mod:`repro.sim.dispatch`), or ``"auto"``
-    (the default: sharded exactly when the calibrated cost model says it
-    is cheaper for this (ops, batch) on the available cores, single
-    otherwise).  Sharded per-repetition lane tallies are bit-identical to
-    the single-process ones — each shard draws full-width outcome masks
-    and keeps its lane window — so this choice never changes an estimate,
-    only its wall time.  ``shards``/``executor`` pass through to
-    :class:`~repro.sim.dispatch.ShardPool` when sharding is in play.
+    ``execution`` selects how the compiled repetitions run: ``"auto"``
+    (the default) ranks the scalar VM against the generated codegen
+    kernel by ``gen(ops) + repeats * run(ops, batch)`` with the
+    calibrated cost model (:mod:`repro.sim.dispatch.cost`), where
+    ``gen`` is the fusion and kernel generation the program still needs.
+    A program that runs once or a few times therefore runs on the scalar
+    VM and is never fused.  ``"single"`` always runs a fused kernel in
+    this process, and ``"sharded"`` shards lanes across a persistent
+    worker pool (:mod:`repro.sim.dispatch`; ``shards``/``executor`` pass
+    through to :class:`~repro.sim.dispatch.ShardPool`); ``auto`` never
+    shards.  Sharded per-repetition lane tallies are bit-identical to the
+    single-process ones — each shard draws full-width outcome masks and
+    keeps its lane window — so this choice never changes an estimate,
+    only its wall time.
 
-    ``kernels`` picks the generated-kernel strategy the compiled
-    repetitions execute through (``"codegen"``, ``"vector"``,
-    ``"arrays"`` or ``"auto"``; ``None`` is the backend default) and
-    ``schedule=True`` runs the run-lengthening scheduler before fusion
-    when this call compiles or fuses the program itself (a pre-fused
-    ``program`` already made that choice — pull it from
+    ``kernels`` picks the fused kernel strategy (``"codegen"``,
+    ``"vector"``, ``"arrays"`` or ``"auto"``, which ranks the three by
+    run time); passing it runs a fused kernel whatever ``execution`` says
+    (``None`` leaves the choice to ``execution``).  ``schedule=True``
+    runs the run-lengthening scheduler before fusion when this call fuses
+    the program itself (pull a scheduled program from
     :meth:`CircuitCache.program(spec, schedule=True)
     <repro.pipeline.cache.CircuitCache.program>` to combine the two).
     Both are execution-only: estimates are bit-identical whatever the
@@ -157,56 +167,38 @@ def mc_expected_counts(
     validate_kernels(kernels)
     circuit = _circuit_of(target)
     compile_seconds = 0.0
+    strategy = "interpretive"
     if compiled:
         from ..transform.compile import (
-            CompiledProgram,
+            FusedProgram,
             compile_program,
             fuse_program,
         )
 
-        if program is None:
+        fresh = program is None
+        if fresh:
             start = time.perf_counter()
-            program = fuse_program(
-                compile_program(circuit, tally=True),
-                memoize=False,
-                schedule=schedule,
-            )
-            program.kernel(events=True)  # kernel generation is compile work
+            program = compile_program(circuit, tally=True)
             compile_seconds = time.perf_counter() - start
-        elif isinstance(program, CompiledProgram):
+        strategy = _strategy(program, execution, kernels, batch, repeats, noise)
+        fuse = strategy != "scalar" and not isinstance(program, FusedProgram)
+        generate = strategy in ("codegen", "vector") and (
+            fuse or not program.has_kernel(strategy, events=True)
+        )
+        if fuse or generate:  # fusion and kernel generation are compile work
             start = time.perf_counter()
-            program = fuse_program(program, schedule=schedule)
-            compile_seconds = time.perf_counter() - start
-    use_sharded = False
-    if compiled and execution != "single":
-        from ..sim.dispatch import program_is_flat
-        from ..sim.dispatch.cost import default_model
-
-        model = default_model()
-        if execution == "sharded":
-            use_sharded = True
-        else:  # auto: only shard when the model predicts a win
-            choice = model.choose(
-                ops=len(program.scalar.instructions),
-                batch=batch,
-                tally=False,
-                lane_counts=True,
-                candidates=("codegen", "sharded"),
-            )
-            use_sharded = choice == "sharded"
-        # Stateful providers need flat programs (every builder circuit is);
-        # fall back to single-process execution rather than fail.  Same
-        # for noise points nested inside branch bodies.
-        if use_sharded and not program_is_flat(program):
-            use_sharded = False
-        if use_sharded and noise is not None and float(noise.rate) > 0.0:
-            from ..sim.dispatch import noise_is_flat
-
-            if not noise_is_flat(program):
-                use_sharded = False
+            if fuse:
+                # A program compiled above dies with this call: keep it out
+                # of the fusion memo.
+                program = fuse_program(
+                    program, memoize=not fresh, schedule=schedule
+                )
+            if generate:
+                program.kernel(events=True, kind=strategy)
+            compile_seconds += time.perf_counter() - start
     chunks = []
     start = time.perf_counter()
-    if use_sharded:
+    if strategy == "sharded":
         from ..sim.dispatch import ShardPool
 
         with ShardPool(
@@ -233,10 +225,12 @@ def mc_expected_counts(
                 sim.reset(RandomOutcomes(derive_seed(seed, "rep", r)))
             for name, value in (inputs or {}).items():
                 sim.set_register(name, value)
-            if compiled:
-                sim.run_compiled(program, kernels=kernels)
-            else:
+            if strategy == "interpretive":
                 sim.run()
+            elif strategy == "scalar":
+                sim.run_compiled(program, fused=False)
+            else:
+                sim.run_compiled(program, kernels=strategy)
             chunks.append(sim.lane_tally())
     run_seconds = time.perf_counter() - start
     totals = np.concatenate(chunks)
@@ -246,7 +240,42 @@ def mc_expected_counts(
         seed=seed,
         compile_seconds=compile_seconds,
         run_seconds=run_seconds,
+        strategy=strategy,
     )
+
+
+def _strategy(program, execution: str, kernels: Optional[str], batch: int,
+              repeats: int, noise: Any) -> str:
+    """The strategy compiled repetitions of ``program`` run on."""
+    from ..sim.dispatch.cost import default_model, prepared_steps
+    from ..sim.strategies import FUSED_KERNELS
+
+    model = default_model()
+    ops = len(getattr(program, "scalar", program).instructions)
+    if execution == "sharded":
+        from ..sim.dispatch import noise_is_flat, program_is_flat
+
+        # Stateful providers need flat programs (every builder circuit is);
+        # fall back to single-process execution rather than fail.  Same
+        # for noise points nested inside branch bodies.
+        if program_is_flat(program) and (
+            noise is None or float(noise.rate) == 0.0 or noise_is_flat(program)
+        ):
+            return "sharded"
+    elif execution == "auto" and kernels is None:
+        # Lane counting collects the same events as a tallied run, so it
+        # is priced with the tally-on coefficients.
+        return model.choose(
+            ops=ops, batch=batch, tally=True, lane_counts=True,
+            candidates=("scalar", "codegen"), repeats=repeats,
+            prepared=prepared_steps(program, events=True),
+        )
+    if kernels == "auto":
+        return model.choose(
+            ops=ops, batch=batch, tally=False, lane_counts=True,
+            candidates=FUSED_KERNELS,
+        )
+    return kernels or "codegen"
 
 
 def mc_or_none(target, **kwargs) -> Optional[MCEstimate]:

@@ -217,6 +217,8 @@ def compute_estimate(request: EstimateRequest, cache) -> Dict[str, Any]:
                 program=program,
             )
             if estimate is not None:
+                if isinstance(cache, PersistentCircuitCache):
+                    cache.count_mc_strategy(estimate.strategy)
                 payload["mc"] = {
                     "gates": list(estimate.gates),
                     "samples": estimate.samples,

@@ -17,16 +17,20 @@ estimates) and :mod:`repro.service.jobs` (async sweeps).  Routes:
     one, fetch the finished artifact (404 unknown, 409 until done).
 
 ``GET /healthz`` / ``GET /statsz``
-    Liveness, and the cache/job counters the CI smoke job asserts on.
+    Liveness, and the cache/job counters the CI smoke job asserts on,
+    including the Monte-Carlo strategy each computed estimate ran on
+    (``cache.mc_strategies``).
 
 Client errors are ``{"error": "<message>"}`` with a 400; unroutable
-paths 404; anything unexpected a 500 that names only the exception type.
+paths 404; anything unexpected a 500 that names only the exception type,
+while the full traceback goes to the ``repro.service.http`` logger.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -41,6 +45,8 @@ __all__ = ["ServiceState", "ReproRequestHandler", "serve", "main"]
 
 #: Cap request bodies well above any sane sweep config, far below a DoS.
 MAX_BODY_BYTES = 1 << 20
+
+logger = logging.getLogger(__name__)
 
 
 class ServiceState:
@@ -146,7 +152,8 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             self._error(400, str(exc))
         except BrokenPipeError:  # client went away mid-response
             pass
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
+            logger.exception("%s %s failed", self.command, self.path)
             self._error(500, f"internal error: {type(exc).__name__}")
 
     # -------------------------------------------------------------- #

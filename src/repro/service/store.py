@@ -139,6 +139,11 @@ class PersistentCircuitCache(CircuitCache):
         self._result_lock = threading.Lock()
         self._result_inflight: Dict[Tuple[str, str], threading.Event] = {}
         self.result_stats = TierStats()
+        #: How many computed estimates ran their Monte-Carlo repetitions
+        #: on each strategy (see ``MCEstimate.strategy``).
+        self.mc_strategies: Dict[str, int] = dict.fromkeys(
+            ("scalar", "codegen", "vector", "sharded"), 0
+        )
 
     # ------------------------------------------------------------------ #
     # disk tier
@@ -249,6 +254,10 @@ class PersistentCircuitCache(CircuitCache):
                 while len(self._results) > self.result_maxsize:
                     self._results.popitem(last=False)
 
+    def count_mc_strategy(self, strategy: str) -> None:
+        with self._result_lock:
+            self.mc_strategies[strategy] = self.mc_strategies.get(strategy, 0) + 1
+
     def drop_memory_results(self) -> None:
         """Forget the in-memory result tier (the disk tier stays) — the
         programmatic equivalent of a process restart, used by tests."""
@@ -257,10 +266,14 @@ class PersistentCircuitCache(CircuitCache):
 
     def stats_dict(self) -> Dict[str, Any]:
         """Everything ``/statsz`` reports about this cache: the in-memory
-        circuit/counts/program families plus the persistent result tier."""
+        circuit/counts/program families, the persistent result tier and
+        the Monte-Carlo strategy counts."""
+        with self._result_lock:
+            mc_strategies = dict(self.mc_strategies)
         return {
             "circuit_cache": self.stats.as_dict(),
             "result_tier": self.result_stats.as_dict(),
+            "mc_strategies": mc_strategies,
             "memory_results": len(self._results),
             "store_root": str(self.root),
         }

@@ -32,7 +32,6 @@ Built-in backends
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -276,44 +275,34 @@ def _run_auto(
     tally: bool = True,
     lane_counts: Any = None,
     program: Any = None,
-    shards: int | None = None,
-    executor: Any = None,
-    cores: int | None = None,
     noise: Any = None,
 ) -> SimulationResult:
     """Pick the cheapest capable execution strategy via the calibrated cost
     model (:mod:`repro.sim.dispatch.cost`) and run it.
 
+    The call runs the circuit once, so each strategy is priced as one run
+    plus the fusion and kernel generation it still needs for ``program``.
     The returned result's ``backend`` records what actually ran, as
     ``"auto:<strategy>"``.  ``classical`` is only a candidate for
     ``batch=1`` scalar-input calls (its result shape differs); circuits the
-    compiler rejects fall back to the interpretive ladder.
+    compiler rejects fall back to the interpretive ladder.  Sharding is
+    never picked automatically (pass ``shards=`` to ``backend="bitplane"``).
     """
     from .classical import UnsupportedGateError
-    from .dispatch.cost import default_model
+    from .dispatch.cost import default_model, prepared_steps
     from ..transform.compile import compile_program
 
     _check_registers(circuit, inputs)
+    events = tally or bool(lane_counts)
     compiled_ok = True
     if program is None:
         try:
-            program = compile_program(
-                circuit, tally=tally or bool(lane_counts)
-            )
+            program = compile_program(circuit, tally=events)
         except UnsupportedGateError:
             compiled_ok = False
     if compiled_ok:
         ops = len(program.scalar if hasattr(program, "scalar") else program)
-        candidates = [
-            "interpretive", "scalar", "codegen", "arrays", "vector", "sharded",
-        ]
-        if noise is not None and float(noise.rate) > 0.0:
-            from .dispatch import noise_is_flat
-
-            if not noise_is_flat(program):
-                # Sharded execution cannot keep per-shard channel streams in
-                # sync when noise points sit inside branch bodies.
-                candidates.remove("sharded")
+        candidates = ["interpretive", "scalar", "codegen", "arrays", "vector"]
     else:
         from ..circuits.ops import iter_flat
 
@@ -326,7 +315,8 @@ def _run_auto(
         candidates.insert(0, "classical")
     choice = default_model().choose(
         ops=ops, batch=batch, tally=tally, lane_counts=bool(lane_counts),
-        cores=cores, candidates=candidates,
+        candidates=candidates, repeats=1,
+        prepared=prepared_steps(program, events) if compiled_ok else (),
     )
     if choice == "classical":
         result = _run_classical(circuit, inputs, outcomes, tally=tally, noise=noise)
@@ -339,15 +329,6 @@ def _run_auto(
         result = _run_bitplane(
             circuit, inputs, outcomes, batch=batch, tally=tally,
             lane_counts=lane_counts, program=program, fused=False, noise=noise,
-        )
-    elif choice == "sharded":
-        result = _run_bitplane(
-            circuit, inputs, outcomes, batch=batch, tally=tally,
-            lane_counts=lane_counts, program=program,
-            shards=shards or default_model().effective_shards(
-                batch, cores or os.cpu_count() or 1
-            ),
-            executor=executor, noise=noise,
         )
     else:  # codegen / arrays / vector
         result = _run_bitplane(

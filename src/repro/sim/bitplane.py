@@ -420,13 +420,18 @@ class BitplaneSimulator(ExecutionBackend):
         scheduler (:func:`repro.transform.compile.schedule_program`) before
         fusion — bit-identical results, longer same-opcode runs (ignored
         when ``program`` is already fused).  Executed-gate tallies come
-        from per-scope entry events, and — unlike the scalar path — exact
-        per-lane ``lane_counts`` tracking is supported.
+        from per-scope entry events.
 
-        ``fused=False`` is the scalar escape hatch: the flat
+        ``fused=False`` runs the scalar compiled VM: the flat
         program-counter loop over pre-resolved instruction tuples, with
-        state in one bigint per plane (PR 3's compiled VM, and the baseline
+        state in one bigint per plane.  It needs no fusion and no code
+        generation, which makes it the cheapest strategy for a program
+        that runs only a few times (the baseline
         ``benchmarks/bench_fused.py`` measures the fused kernels against).
+        It emits the same ``(mask, counts)`` events as the fused kernels —
+        one per dynamic scope entry, flushed when the scope closes — so
+        tallies and exact per-lane ``lane_counts`` are folded by the same
+        code on every compiled path.
 
         Results (states, bits, measurement-outcome stream, tally and lane
         tallies) are identical to :meth:`run` on every path — see
@@ -458,12 +463,6 @@ class BitplaneSimulator(ExecutionBackend):
             raise ValueError("kernels= selects a fused strategy; pass fused=True")
         tallying = self.engine.tally is not None
         tracking = bool(self._lane_track)
-        if tracking and not fused:
-            raise ValueError(
-                "lane_counts tracking is not supported by the scalar compiled "
-                "VM; use run_compiled(fused=True) (the default) or the "
-                "interpretive run()"
-            )
         needs_meta = tallying or tracking
         fresh_compile = program is None
         if fresh_compile:
@@ -507,7 +506,7 @@ class BitplaneSimulator(ExecutionBackend):
         if isinstance(program, FusedProgram):
             program = program.scalar
         instructions = program.instructions
-        tallies = program.tallies if tallying else None
+        tallies = program.tallies if needs_meta else None
         num_qubits, num_bits = self.circuit.num_qubits, self.circuit.num_bits
         planes = [
             int.from_bytes(self.planes[q].tobytes(), "little")
@@ -520,17 +519,21 @@ class BitplaneSimulator(ExecutionBackend):
         batch = self.batch
         sample = self.engine.sample_lanes
         noise = self._noise_lanes if self._noise_stream is not None else None
-        executed: Dict[str, int] = {}
+        # Executed-gate counts of the open scopes (innermost last); a scope's
+        # counts become one (mask, counts) event when it closes, the same
+        # events the fused kernels emit per scope entry.
+        events: List[tuple] = []
+        pending_stack: List[Dict[str, int]] = [{}]
+        pending = pending_stack[-1]
         mask_stack = [(1 << batch) - 1]
         mask = mask_stack[-1]
-        active = batch
         end = len(instructions)
         pc = 0
         while pc < end:
             instr = instructions[pc]
             if tallies is not None:
                 for name in tallies[pc]:
-                    executed[name] = executed.get(name, 0) + active
+                    pending[name] = pending.get(name, 0) + 1
             op = instr[0]
             if op == OP_CX:
                 planes[instr[2]] ^= planes[instr[1]] & mask
@@ -538,40 +541,34 @@ class BitplaneSimulator(ExecutionBackend):
                 planes[instr[3]] ^= planes[instr[1]] & planes[instr[2]] & mask
             elif op == OP_X:
                 planes[instr[1]] ^= mask
-            elif op == OP_COND:
-                bit_plane = bits[instr[1]]
-                sub = (mask & bit_plane) if instr[2] else (mask & ~bit_plane)
+            elif op == OP_COND or op == OP_MBU:
+                if op == OP_COND:
+                    bit_plane = bits[instr[1]]
+                    sub = (mask & bit_plane) if instr[2] else (mask & ~bit_plane)
+                else:
+                    outcome = sample(0.5, batch)
+                    b = instr[2]
+                    bits[b] = (bits[b] & ~mask) | (outcome & mask)
+                    sub = mask & outcome
                 mask_stack.append(sub)
                 mask = sub
                 if tallies is not None:
-                    active = sub.bit_count()
+                    pending = {}
+                    pending_stack.append(pending)
                 if not sub:
                     pc = instr[3]
                     continue
-            elif op == OP_ENDCOND:
+            elif op == OP_ENDCOND or op == OP_ENDMBU:
+                if tallies is not None:
+                    if pending:
+                        events.append((mask, pending))
+                    pending_stack.pop()
+                    pending = pending_stack[-1]
                 mask_stack.pop()
                 mask = mask_stack[-1]
-                if tallies is not None:
-                    active = mask.bit_count()
-            elif op == OP_ENDMBU:
-                mask_stack.pop()
-                mask = mask_stack[-1]
-                if tallies is not None:
-                    active = mask.bit_count()
-                # both MBU branches leave the garbage qubit in |0>
-                planes[instr[1]] &= ~mask
-            elif op == OP_MBU:
-                outcome = sample(0.5, batch)
-                b = instr[2]
-                bits[b] = (bits[b] & ~mask) | (outcome & mask)
-                sub = mask & outcome
-                mask_stack.append(sub)
-                mask = sub
-                if tallies is not None:
-                    active = sub.bit_count()
-                if not sub:
-                    pc = instr[3]
-                    continue
+                if op == OP_ENDMBU:
+                    # both MBU branches leave the garbage qubit in |0>
+                    planes[instr[1]] &= ~mask
             elif op == OP_MX:
                 outcome = sample(0.5, batch)
                 q, b = instr[1], instr[2]
@@ -595,16 +592,15 @@ class BitplaneSimulator(ExecutionBackend):
                     planes[instr[1]] ^= noise(batch) & mask
             # else OP_NOP: tally flush only
             pc += 1
+        if pending:
+            events.append((mask, pending))
 
         words = self.words
         for q in range(num_qubits):
             self.planes[q] = _pack_int(planes[q], words)
         for b in range(num_bits):
             self.bit_planes[b] = _pack_int(bits[b], words)
-        if tallies is not None:
-            tally = self.engine.tally
-            for name, total in executed.items():
-                tally.add(name, Fraction(total, batch))
+        self._fold_events(events, tallying, tracking)
         return self
 
     def _run_fused(
@@ -650,31 +646,43 @@ class BitplaneSimulator(ExecutionBackend):
 
         if collect:
             scopes = program.scopes
-            if tallying:
-                totals: Dict[str, int] = {}
-                for sid, mask in events:
-                    active = mask.bit_count()
-                    if active:
-                        for name, count in scopes[sid].counts.items():
-                            totals[name] = totals.get(name, 0) + count * active
-                tally = self.engine.tally
-                for name, total in totals.items():
-                    tally.add(name, Fraction(total, self.batch))
-            if tracking:
-                for sid, mask in events:
-                    counts = scopes[sid].counts
-                    tracked = [
-                        (name, count)
-                        for name, count in counts.items()
-                        if name in self._lane_track and count
-                    ]
-                    if tracked and mask:
-                        lanes = self._mask_lanes(
-                            _pack_int(mask, self.words)
-                        ).astype(np.int64)
-                        for name, count in tracked:
-                            self._lane_track[name] += count * lanes
+            self._fold_events(
+                [(mask, scopes[sid].counts) for sid, mask in events],
+                tallying, tracking,
+            )
         return self
+
+    def _fold_events(self, events, tallying: bool, tracking: bool) -> None:
+        """Fold ``(mask, counts)`` events into the tally and lane counters.
+
+        Each event says: every lane set in ``mask`` executed each gate in
+        ``counts`` that many times.  Every compiled path — the scalar VM
+        and each fused kernel — reports its executed gates this way.
+        """
+        if tallying:
+            totals: Dict[str, int] = {}
+            for mask, counts in events:
+                active = mask.bit_count()
+                if active:
+                    for name, count in counts.items():
+                        totals[name] = totals.get(name, 0) + count * active
+            tally = self.engine.tally
+            for name, total in totals.items():
+                tally.add(name, Fraction(total, self.batch))
+        if tracking:
+            track = self._lane_track
+            for mask, counts in events:
+                tracked = [
+                    (name, count)
+                    for name, count in counts.items()
+                    if count and name in track
+                ]
+                if tracked and mask:
+                    lanes = self._mask_lanes(
+                        _pack_int(mask, self.words)
+                    ).astype(np.int64)
+                    for name, count in tracked:
+                        track[name] += count * lanes
 
     def _sample_plane(self, p_one: float) -> np.ndarray:
         return _pack_int(self.engine.sample_lanes(p_one, self.batch), self.words)

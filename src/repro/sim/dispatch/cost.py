@@ -28,6 +28,23 @@ The model is deliberately tiny — per backend and tally state,
 right, not absolute times.  Sharded execution reuses the codegen work
 estimate divided by the effective shard count times a measured parallel
 ``efficiency``, plus per-shard dispatch overhead.
+
+Generation term
+---------------
+The fused strategies pay once per program before their first run:
+:func:`~repro.transform.compile.fuse_program` (``generation.fuse``) and
+then building their kernel (``generation.<backend>``), each
+``c_ops * ops``.  :meth:`CostModel.choose` ranks on
+``gen(ops) + repeats * run(ops, batch)`` when the caller says how many
+runs the program will serve (``repeats=``), counting as free whatever
+the program already holds (``prepared=``, see :func:`prepared_steps`).
+A program that runs once is therefore run on the scalar VM, which needs
+neither step.  Without ``repeats`` the ranking is steady-state run time,
+as for a program that is run many times.
+
+``sharded`` is never an automatic candidate (:data:`AUTO_CANDIDATES`):
+its entry is a hand-written prior, and every measured grid point has it
+slower than one process.  It runs only when asked for by name.
 """
 
 from __future__ import annotations
@@ -35,22 +52,27 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 __all__ = [
+    "AUTO_CANDIDATES",
     "CostModel",
     "choose_backend",
     "default_model",
     "estimate_seconds",
     "fit_calibration",
     "load_calibration",
+    "prepared_steps",
 ]
 
-from ..strategies import LADDER
+from ..strategies import FUSED_KERNELS, LADDER
 
-#: Strategies the model can rank (superset of what any one call considers).
-#: The single source of truth is :data:`repro.sim.strategies.LADDER`.
-STRATEGIES = LADDER
+#: What :meth:`CostModel.choose` considers when the caller names no
+#: candidates: every strategy of :data:`repro.sim.strategies.LADDER`
+#: except ``sharded`` (explicit-only).
+AUTO_CANDIDATES = tuple(name for name in LADDER if name != "sharded")
 
 ENV_CALIBRATION = "REPRO_DISPATCH_CALIBRATION"
 _CALIBRATION_FILE = os.path.join(os.path.dirname(__file__), "calibration.json")
@@ -93,6 +115,12 @@ DEFAULT_CALIBRATION: Dict[str, Any] = {
             "on": {"c0": 2e-04, "c_shard": 1.5e-04, "efficiency": 0.85},
         },
     },
+    "generation": {
+        "fuse": {"c_ops": 3.5e-06},
+        "codegen": {"c_ops": 1.5e-05},
+        "arrays": {"c_ops": 2e-06},
+        "vector": {"c_ops": 2e-05},
+    },
 }
 
 
@@ -116,6 +144,20 @@ def load_calibration(path: Optional[str] = None) -> Dict[str, Any]:
 
 def _words(batch: int) -> int:
     return (batch + 63) // 64
+
+
+def prepared_steps(program: Any, events: bool) -> Tuple[str, ...]:
+    """The generation work ``program`` has already paid for, as the
+    ``prepared=`` argument of :meth:`CostModel.choose`: ``"fuse"`` for a
+    fused program, plus every fused strategy whose kernel (generated with
+    or without ``events``) it holds.  A compiled or absent program has
+    paid for nothing."""
+    has_kernel = getattr(program, "has_kernel", None)
+    if has_kernel is None:
+        return ()
+    return ("fuse",) + tuple(
+        kind for kind in FUSED_KERNELS if has_kernel(kind, events)
+    )
 
 
 @dataclass
@@ -166,6 +208,23 @@ class CostModel:
                     + work / (shards * c["efficiency"]))
         return c["c0"] + c["c_ops"] * ops + c["c_ops_words"] * ops * words
 
+    def generation_seconds(
+        self, backend: str, *, ops: int, prepared: Collection[str] = ()
+    ) -> float:
+        """Estimated one-off seconds before ``backend`` can run a program
+        of ``ops`` instructions: fusion plus kernel generation for the
+        fused strategies (each skipped when named in ``prepared``), zero
+        for everything else."""
+        if backend not in FUSED_KERNELS:
+            return 0.0
+        gen = self.table.get("generation", DEFAULT_CALIBRATION["generation"])
+        seconds = 0.0
+        if "fuse" not in prepared:
+            seconds += gen["fuse"]["c_ops"] * ops
+        if backend not in prepared:
+            seconds += gen[backend]["c_ops"] * ops
+        return seconds
+
     def choose(
         self,
         *,
@@ -175,22 +234,29 @@ class CostModel:
         lane_counts: bool = False,
         cores: Optional[int] = None,
         candidates: Optional[Sequence[str]] = None,
+        repeats: Optional[int] = None,
+        prepared: Collection[str] = (),
     ) -> str:
         """The cheapest strategy that can run the request.
 
+        With ``repeats`` the cost of a strategy is
+        ``generation_seconds + repeats * estimate``: the one-off fusion and
+        kernel generation it still needs (minus the ``prepared`` steps),
+        plus its runs.  Without it, only the run time counts.
+
         Capability filtering before ranking: ``classical`` only handles one
-        lane per call (and scalar inputs), ``scalar`` cannot track per-lane
-        ``lane_counts``, and ``sharded`` needs at least two effective shards
-        (cores *and* ``min_shard_lanes`` lanes each).
+        lane per call (and scalar inputs), and ``sharded`` needs at least
+        two effective shards (cores *and* ``min_shard_lanes`` lanes each).
+        ``lane_counts`` filters nothing: every compiled strategy keeps
+        exact per-lane counts.  ``candidates`` defaults to
+        :data:`AUTO_CANDIDATES`.
         """
         if cores is None:
             cores = os.cpu_count() or 1
-        pool = list(candidates) if candidates is not None else list(STRATEGIES)
+        pool = list(candidates) if candidates is not None else list(AUTO_CANDIDATES)
         feasible = []
         for name in pool:
             if name == "classical" and batch != 1:
-                continue
-            if name == "scalar" and lane_counts:
                 continue
             if name == "sharded" and self.effective_shards(batch, cores) < 2:
                 continue
@@ -200,12 +266,15 @@ class CostModel:
                 f"no feasible backend among {pool!r} for batch={batch}, "
                 f"lane_counts={lane_counts}"
             )
-        return min(
-            feasible,
-            key=lambda name: self.estimate(
-                name, ops=ops, batch=batch, tally=tally, cores=cores
-            ),
-        )
+
+        def cost(name: str) -> float:
+            run = self.estimate(name, ops=ops, batch=batch, tally=tally, cores=cores)
+            if repeats is None:
+                return run
+            gen = self.generation_seconds(name, ops=ops, prepared=prepared)
+            return gen + repeats * run
+
+        return min(feasible, key=cost)
 
 
 _DEFAULT_MODEL: Optional[CostModel] = None
@@ -251,12 +320,19 @@ def fit_calibration(
     Each sample maps ``backend``/``ops``/``batch``/``tally``/``seconds``;
     ``sharded`` samples additionally carry ``shards`` and
     ``codegen_seconds`` (the matching single-process work measurement the
-    parallel efficiency is computed against).  Backends or tally states
-    with no samples keep the ``DEFAULT_CALIBRATION`` coefficients, so a
-    smoke-size run still yields a complete table.
+    parallel efficiency is computed against).  Generation samples map
+    ``generation`` (``"fuse"`` or a fused strategy) plus ``ops`` and
+    ``seconds``, and fit ``generation.<name>.c_ops`` through the origin.
+    Backends or tally states with no samples keep the
+    ``DEFAULT_CALIBRATION`` coefficients, so a smoke-size run still yields
+    a complete table.
     """
     grouped: Dict[Tuple[str, bool], List[Mapping[str, Any]]] = {}
+    generation: Dict[str, List[Mapping[str, Any]]] = {}
     for sample in samples:
+        if "generation" in sample:
+            generation.setdefault(str(sample["generation"]), []).append(sample)
+            continue
         key = (str(sample["backend"]), bool(sample["tally"]))
         grouped.setdefault(key, []).append(sample)
 
@@ -294,4 +370,8 @@ def fit_calibration(
             backends[backend][state] = {
                 "c0": c0, "c_ops": c_ops, "c_ops_words": c_ow,
             }
+    for name, rows in generation.items():
+        (c_ops,) = _lstsq([[float(s["ops"])] for s in rows],
+                          [s["seconds"] for s in rows])
+        table["generation"][name] = {"c_ops": c_ops}
     return table

@@ -21,8 +21,8 @@ specializations make this more than dispatch removal:
 * *Per-scope tally events* — executed-gate accounting reduces to one
   ``(scope_id, mask)`` event per dynamic scope entry; totals are
   reconstructed afterwards from the program's static per-scope counts.
-  The same events drive exact per-lane ``lane_counts`` tracking, which the
-  scalar compiled VM cannot do at all.
+  The same events drive exact per-lane ``lane_counts`` tracking (the
+  scalar compiled VM emits events of the same kind without fusing).
 
 **Generated straight-line numpy kernels** (:func:`build_vector_kernel`,
 ``kernels="vector"``).  The same once-per-program code generation, but

@@ -151,6 +151,8 @@ class CompiledProgram:
     #: layout — enough for a worker process to load/read register values
     #: without holding the Circuit object (see ``repro.sim.dispatch``).
     registers: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+    #: Whether :func:`schedule_program` produced this stream.
+    scheduled: bool = False
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -474,6 +476,7 @@ def schedule_program(program: CompiledProgram) -> CompiledProgram:
         has_tally=program.has_tally,
         source=program.source,
         registers=program.registers,
+        scheduled=True,
     )
 
 
@@ -572,8 +575,9 @@ class FusedProgram:
         self.scalar = scalar
         self.has_tally = has_tally
         self.source = source
-        #: Whether :func:`schedule_program` ran before fusion (metadata for
-        #: benchmarks/diagnostics; the results are identical either way).
+        #: Whether :func:`schedule_program` ran before fusion, here or on
+        #: the compiled program (metadata for benchmarks/diagnostics; the
+        #: results are identical either way).
         self.scheduled = scheduled
         self._kernels: Dict[Tuple[str, bool], Any] = {}
         # Lazily-built execution plan for the stacked-plane array strategy
@@ -625,6 +629,14 @@ class FusedProgram:
                 )
             self._kernels[key] = fn
         return fn
+
+    def has_kernel(self, kind: str, events: bool) -> bool:
+        """Whether the ``kind`` strategy's kernel (for ``"arrays"``, its
+        execution plan) is already built, so running it costs no
+        generation."""
+        if kind == "arrays":
+            return self._arrays_plan is not None
+        return (kind, events) in self._kernels
 
     def run_length_histogram(self) -> Dict[int, int]:
         """``{run_length: run_count}`` over the whole scope tree.
@@ -805,7 +817,7 @@ def fuse_program(
         scalar=program,
         has_tally=program.has_tally,
         source=program.source,
-        scheduled=schedule,
+        scheduled=program.scheduled,
     )
     if memoize:
         with _FUSED_MEMO_LOCK:

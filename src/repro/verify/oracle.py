@@ -233,33 +233,26 @@ def _make_script(circuit: Circuit, rng: random.Random) -> List[int]:
     return [rng.randint(0, 1) for _ in range(_event_bound(circuit) + 4)]
 
 
-def _resolve_auto(circuit: Circuit, batch: int, lane_counts, program, noise=None):
+def _resolve_auto(circuit: Circuit, batch: int, lane_counts, program):
     """The concrete strategy the cost model picks for this request.
 
     Mirrors what ``simulate(backend="auto")`` would do for a compiled
-    bit-plane run, restricted to strategies whose oracle comparisons are
-    sound here: ``sharded`` is a candidate only on flat programs (stateful
-    scripted providers cannot shard otherwise — and with noise enabled the
-    channel points must be flat too), and ``scalar`` only when no
-    per-lane counters are tracked (the flat VM has none).
+    bit-plane run: one run, priced with the fusion and kernel generation
+    the program still needs.
     """
-    from ..sim.dispatch import noise_is_flat, program_is_flat
-    from ..sim.dispatch.cost import default_model
+    from ..sim.dispatch.cost import default_model, prepared_steps
 
     if program is None:
         program = compile_program(circuit, tally=True)  # may raise
     scalar = getattr(program, "scalar", program)
-    candidates = ["scalar", "codegen", "arrays", "vector"]
-    if program_is_flat(program) and (
-        noise is None or float(noise.rate) == 0.0 or noise_is_flat(program)
-    ):
-        candidates.append("sharded")
     choice = default_model().choose(
         ops=len(scalar.instructions),
         batch=batch,
         tally=True,
         lane_counts=bool(lane_counts),
-        candidates=candidates,
+        candidates=("scalar", "codegen", "arrays", "vector"),
+        repeats=1,
+        prepared=prepared_steps(program, events=True),
     )
     return choice, program
 
@@ -276,9 +269,7 @@ def _run_bitplane(
 ) -> _RunResult:
     if strategy == "auto":
         try:
-            choice, program = _resolve_auto(
-                circuit, batch, lane_counts, program, noise=noise
-            )
+            choice, program = _resolve_auto(circuit, batch, lane_counts, program)
         except UnsupportedGateError as exc:
             return _RunResult(strategy, error=str(exc))
         prog = getattr(program, "scalar", program) if choice == "scalar" else program
@@ -319,7 +310,7 @@ def _run_bitplane(
             consumed=sharded.consumed,
             lane_tally=tuple(sharded.lane_tally().tolist()) if track else None,
         )
-    track = lane_counts if strategy != "scalar" else None
+    track = tuple(lane_counts) or None
     sim = BitplaneSimulator(
         circuit, batch=batch, outcomes=provider, tally=True, lane_counts=track,
         noise=noise,
@@ -467,7 +458,7 @@ class _Checker:
         # Stateful scripted providers shard only on flat programs (the pool
         # refuses otherwise); the sharded cell of a non-flat circuit is
         # validated under ConstantOutcomes below instead.  ``auto`` is
-        # always safe: its candidate set drops ``sharded`` when non-flat.
+        # always safe: it never shards.
         flat = program_is_flat(program)
         stateful = tuple(
             s for s in BITPLANE_STRATEGIES if flat or s != "sharded"

@@ -348,6 +348,24 @@ class TestMonteCarloExecution:
             assert est.mean == ref.mean, mode
             assert est.variance == ref.variance, mode
 
+    def test_auto_on_many_cores_never_starts_a_shard_pool(self, monkeypatch):
+        """The paper-scale one-shot estimate on an 8-core host: ``auto``
+        must not start a ShardPool (its cost-model entry is an unfitted
+        prior), and one run is cheapest on the scalar VM."""
+        from repro.sim import dispatch
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("auto execution constructed a ShardPool")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(dispatch.ShardPool, "__init__", refuse)
+        built256 = build_modadd(256, (1 << 256) - 189, "cdkpm", mbu=True)
+        est = mc_expected_counts(
+            built256, batch=65536, repeats=1, seed=3, execution="auto"
+        )
+        assert est.strategy == "scalar"
+        assert est.samples == 65536
+
     def test_unknown_execution_mode_rejected(self, built):
         with pytest.raises(ValueError, match="'auto', 'single', 'sharded'"):
             mc_expected_counts(built, batch=64, execution="distributed")
@@ -371,11 +389,63 @@ class TestCostModel:
                               candidates=("classical", "codegen"))
         assert choice == "codegen"
 
-    def test_scalar_excluded_when_lane_counts_tracked(self):
-        model = default_model()
+    def test_scalar_eligible_when_lane_counts_tracked(self):
+        # the scalar VM tracks per-lane counts, so it stays a candidate
+        model = CostModel(dict(DEFAULT_CALIBRATION))
         choice = model.choose(ops=5, batch=64, lane_counts=True, cores=1,
                               candidates=("scalar", "codegen"))
-        assert choice == "codegen"
+        assert choice == "scalar"
+
+    def test_generation_term_prices_one_shot_runs(self):
+        model = CostModel(dict(DEFAULT_CALIBRATION))
+        kwargs = dict(ops=10000, batch=65536, lane_counts=True, cores=1,
+                      candidates=("scalar", "codegen"))
+        # steady state: the generated kernel runs faster
+        assert model.choose(**kwargs) == "codegen"
+        # one run: generating the kernel costs more than it saves
+        assert model.choose(repeats=1, **kwargs) == "scalar"
+        # enough runs amortize generation
+        assert model.choose(repeats=1000, **kwargs) == "codegen"
+        # a program that already holds its kernel pays no generation
+        assert model.choose(
+            repeats=1, prepared=("fuse", "codegen"), **kwargs
+        ) == "codegen"
+
+    def test_generation_seconds(self):
+        model = CostModel(dict(DEFAULT_CALIBRATION))
+        gen = DEFAULT_CALIBRATION["generation"]
+        full = model.generation_seconds("codegen", ops=1000)
+        assert full == pytest.approx(
+            1000 * (gen["fuse"]["c_ops"] + gen["codegen"]["c_ops"])
+        )
+        assert model.generation_seconds(
+            "codegen", ops=1000, prepared=("fuse",)
+        ) == pytest.approx(1000 * gen["codegen"]["c_ops"])
+        assert model.generation_seconds(
+            "codegen", ops=1000, prepared=("fuse", "codegen")
+        ) == 0.0
+        for name in ("scalar", "interpretive", "classical"):
+            assert model.generation_seconds(name, ops=1000) == 0.0
+
+    def test_generation_defaults_for_tables_without_it(self):
+        table = json.loads(json.dumps(DEFAULT_CALIBRATION))
+        del table["generation"]
+        model = CostModel(table)
+        assert model.generation_seconds("vector", ops=10) > 0.0
+
+    def test_auto_never_offers_sharded(self):
+        # even a table that makes sharding look free keeps it out of the
+        # default candidate set: it runs only when asked for by name
+        table = json.loads(json.dumps(DEFAULT_CALIBRATION))
+        table["backends"]["sharded"]["on"] = {
+            "c0": 0.0, "c_shard": 0.0, "efficiency": 1.0,
+        }
+        model = CostModel(table)
+        kwargs = dict(ops=100000, batch=65536, cores=64)
+        assert model.choose(**kwargs) != "sharded"
+        assert model.choose(
+            candidates=("codegen", "sharded"), **kwargs
+        ) == "sharded"
 
     def test_sharded_needs_cores_and_lanes(self):
         model = CostModel(dict(DEFAULT_CALIBRATION))
@@ -425,7 +495,15 @@ class TestCostModel:
             {"backend": "sharded", "ops": 5000, "batch": 65536, "tally": True,
              "shards": 4, "seconds": 0.30, "codegen_seconds": 1.0},
         ]
+        samples += [
+            {"generation": "fuse", "ops": ops, "seconds": 4e-6 * ops}
+            for ops in (100, 1000, 5000)
+        ]
         table = fit_calibration(samples, source="test")
+        assert table["generation"]["fuse"]["c_ops"] == pytest.approx(4e-6)
+        assert table["generation"]["codegen"] == (
+            DEFAULT_CALIBRATION["generation"]["codegen"]
+        )
         fitted = table["backends"]["codegen"]["on"]
         assert fitted["c_ops"] == pytest.approx(2e-7, rel=0.05)
         assert fitted["c_ops_words"] == pytest.approx(3e-9, rel=0.05)

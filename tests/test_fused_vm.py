@@ -51,8 +51,6 @@ def _run_all_ways(circ, outcomes_factory, lane_counts=None, tally=True):
         ("codegen", lambda s: s.run_compiled()),
         ("arrays", lambda s: s.run_compiled(kernels="arrays")),
     ]:
-        if key == "scalar" and lane_counts:
-            continue  # scalar VM has no per-lane counters
         sim = BitplaneSimulator(
             circ, batch=BATCH, outcomes=outcomes_factory(), tally=tally,
             lane_counts=lane_counts,
@@ -392,6 +390,51 @@ class TestReuse:
         assert reused.compile_seconds == 0.0
         assert reused.mean == est.mean
 
+    @pytest.mark.parametrize("kind", ["codegen", "vector"])
+    def test_mc_charges_kernel_generation_to_compile(self, monkeypatch, kind):
+        """A fused program without its kernel: generating the kernel is
+        compile work, never part of ``run_seconds``."""
+        import time
+
+        from repro.sim import kernels
+
+        delay = 0.2
+        name = "build_kernel" if kind == "codegen" else "build_vector_kernel"
+        real = getattr(kernels, name)
+
+        def slow_build(fused, *, events):
+            time.sleep(delay)
+            return real(fused, events=events)
+
+        monkeypatch.setattr(kernels, name, slow_build)
+        built = build_modadd(4, 13, "cdkpm", mbu=True)
+        fused = fuse_program(compile_program(built.circuit))
+        assert not fused.has_kernel(kind, events=True)
+        est = mc_expected_counts(
+            built, batch=32, repeats=2, seed=1, program=fused,
+            execution="single", kernels=kind,
+        )
+        assert est.strategy == kind
+        assert fused.has_kernel(kind, events=True)
+        assert est.compile_seconds >= delay
+        assert est.run_seconds < delay
+        assert est.mean == mc_expected_counts(built, batch=32, repeats=2, seed=1).mean
+
+    def test_mc_fuses_a_compiled_program_only_when_needed(self):
+        built = build_modadd(4, 13, "cdkpm", mbu=True)
+        program = compile_program(built.circuit)
+        scalar = mc_expected_counts(built, batch=32, seed=1, program=program)
+        assert scalar.strategy == "scalar"
+        assert scalar.compile_seconds == 0.0  # nothing compiled, fused or generated
+        fused = mc_expected_counts(
+            built, batch=32, seed=1, program=program, execution="single"
+        )
+        assert fused.strategy == "codegen"
+        assert fused.compile_seconds > 0.0  # fusion + generation, in this call
+        assert fused.mean == scalar.mean and fused.variance == scalar.variance
+        # the fused form (and its kernel) is memoized for the held program
+        assert fuse_program(program).has_kernel("codegen", events=True)
+
     def test_cache_program_is_memoized(self):
         cache = CircuitCache()
         spec = CircuitSpec.make("modadd", 4, p=13, family="cdkpm", mbu=True)
@@ -400,7 +443,12 @@ class TestReuse:
         assert first is second
         assert cache.stats.program_misses == 1
         assert cache.stats.program_hits == 1
-        assert isinstance(first, FusedProgram)
+        # the cache holds the compiled program (the scalar VM runs it as
+        # is); the fused form is built on demand and memoized per program
+        assert isinstance(first, CompiledProgram)
+        assert first == compile_program(cache.build(spec).circuit)
+        assert fuse_program(first) is fuse_program(second)
+        assert isinstance(fuse_program(first), FusedProgram)
 
     def test_cache_program_memoizes_unsupported_specs(self):
         from repro.sim import UnsupportedGateError

@@ -359,10 +359,21 @@ class TestScheduleAwareCache:
         assert cache.stats.program_misses == 2 and cache.stats.program_hits == 2
 
     def test_scheduled_program_is_actually_scheduled(self):
+        from repro.transform import compile_program, fuse_program, schedule_program
+
         cache = CircuitCache()
         spec = CircuitSpec.make("modadd", 3, p=5, family="cdkpm", mbu=True)
-        assert cache.program(spec, schedule=True).scheduled
-        assert not cache.program(spec).scheduled
+        scheduled = cache.program(spec, schedule=True)
+        plain = cache.program(spec)
+        assert scheduled.scheduled
+        assert not plain.scheduled
+        compiled = compile_program(cache.build(spec).circuit)
+        assert plain.instructions == compiled.instructions
+        assert scheduled.instructions == schedule_program(compiled).instructions
+        assert scheduled.instructions != plain.instructions
+        # fusing keeps the flag: the fused form is the scheduled grouping
+        assert fuse_program(scheduled).scheduled
+        assert not fuse_program(plain).scheduled
 
     def test_eviction_drops_all_schedule_variants(self):
         cache = CircuitCache(maxsize=1)

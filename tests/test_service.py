@@ -1,6 +1,7 @@
 """End-to-end service tests against a live localhost HTTP server."""
 
 import json
+import logging
 import threading
 import time
 import urllib.error
@@ -19,7 +20,11 @@ ESTIMATE = "/estimate?kind=adder&n=4&family=cdkpm&mc_batch=64&seed=3"
 @pytest.fixture()
 def server(tmp_path):
     srv = serve(port=0, store=str(tmp_path / "store"))
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    # A short poll keeps shutdown() at teardown from waiting out the
+    # default 0.5 s serve_forever poll in every test.
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield srv
@@ -73,6 +78,16 @@ class TestHealthAndStats:
         assert stats["requests"] >= 1
         assert "result_tier" in stats["cache"]
         assert stats["jobs"]["total"] == 0
+
+
+    def test_statsz_counts_mc_strategy_of_computed_estimates(self, server):
+        """A default cold request runs once, so it runs on the scalar VM
+        (no fusion, no kernel generation); a memory hit runs nothing."""
+        _get(server, ESTIMATE)
+        _get(server, ESTIMATE)
+        _, _, body = _get(server, "/statsz")
+        strategies = json.loads(body)["cache"]["mc_strategies"]
+        assert strategies == {"scalar": 1, "codegen": 0, "vector": 0, "sharded": 0}
 
 
 class TestEstimate:
@@ -129,6 +144,26 @@ class TestEstimate:
             _get(server, path)
         assert exc.value.code == 400
         assert fragment in json.loads(exc.value.read())["error"]
+
+    def test_unexpected_error_is_500_with_logged_traceback(
+        self, server, monkeypatch, caplog
+    ):
+        from repro.service import http
+
+        def explode(request, cache):
+            raise RuntimeError("estimator exploded")
+
+        monkeypatch.setattr(http, "serve_estimate", explode)
+        with caplog.at_level(logging.ERROR, logger="repro.service.http"):
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                _get(server, ESTIMATE)
+        assert exc.value.code == 500
+        # the body names only the exception type ...
+        assert json.loads(exc.value.read()) == {"error": "internal error: RuntimeError"}
+        # ... the log carries the whole traceback
+        assert "Traceback (most recent call last)" in caplog.text
+        assert "estimator exploded" in caplog.text
+        assert "in explode" in caplog.text
 
     def test_unknown_route_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as exc:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.arithmetic import build_adder, build_comparator, build_controlled_adder
 from repro.circuits import (
+    Annotation,
     Circuit,
     Conditional,
     Gate,
@@ -462,13 +463,71 @@ class TestCompiledPrograms:
                 transforms=["cancel_adjacent"], program=program, tally=False,
             )
 
-    def test_lane_counts_unsupported_in_scalar_compiled_mode(self):
-        """The scalar (fused=False) VM has no per-lane counters; the fused
-        path supports them (see tests/test_fused_vm.py)."""
-        built = build_modadd(3, 5, "cdkpm", mbu=True)
-        sim = BitplaneSimulator(built.circuit, batch=8, lane_counts=("ccx",))
-        with pytest.raises(ValueError, match="lane_counts"):
-            sim.run_compiled(fused=False)
+    @pytest.mark.parametrize("noise_rate", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scalar_lane_counts_match_every_strategy(self, seed, noise_rate):
+        """The scalar (fused=False) VM's exact per-lane tallies equal the
+        interpretive, codegen and vector ones — on MBU blocks nested in
+        MBU bodies and conditionals, branches no lane enters, and noise
+        channels (top level and inside bodies)."""
+        import random
+
+        from repro.noise import NoiseConfig, insert_noise_points
+        from repro.verify.generate import random_mixed_circuit
+
+        rng = random.Random(seed)
+        circ = insert_noise_points(random_mixed_circuit(rng, n_ops=24))
+        d, g = circ.registers["d"].qubits, circ.registers["g"].qubits
+        never = circ.new_bit()  # never written: value=1 selects no lane
+        inner = [Gate("h", (g[1],)), Gate("ccx", (d[2], d[3], g[1])),
+                 Gate("h", (g[1],)), Gate("x", (g[1],))]
+        circ.ccx(d[0], d[1], g[0])
+        circ.ccx(d[2], d[4], g[1])
+        outer_bit = circ.new_bit()
+        inner_bit = circ.new_bit()
+        circ.append(MBUBlock(g[0], outer_bit, (
+            Gate("h", (g[0],)),
+            Gate("ccx", (d[0], d[1], g[0])),
+            MBUBlock(g[1], inner_bit, tuple(inner)),  # MBU inside MBU
+            Conditional(inner_bit, (
+                Gate("ccx", (d[1], d[2], d[5])),
+                Annotation("noise", str(d[5])),
+            )),
+            Gate("h", (g[0],)),
+            Gate("x", (g[0],)),
+        )))
+        circ.append(Conditional(never, (
+            Gate("ccx", (d[0], d[1], d[2])),
+            Annotation("noise", str(d[3])),
+        ), value=1))
+        circ.ccx(d[3], d[4], d[5])
+
+        program = compile_program(circ)
+        noise = NoiseConfig(noise_rate, seed=seed + 11)
+        gates = ("ccx", "ccz", "cx", "x")
+        inputs = [(i * 37 + 11) % (1 << len(d)) for i in range(70)]
+        results = {}
+        for key, runner in [
+            ("interpretive", lambda s: s.run()),
+            ("scalar", lambda s: s.run_compiled(program, fused=False)),
+            ("codegen", lambda s: s.run_compiled(program)),
+            ("vector", lambda s: s.run_compiled(program, kernels="vector")),
+        ]:
+            sim = BitplaneSimulator(
+                circ, batch=70, outcomes=RandomOutcomes(seed), tally=True,
+                lane_counts=gates, noise=noise,
+            )
+            sim.set_register("d", inputs)
+            runner(sim)
+            results[key] = (
+                sim.lane_tally().tolist(),
+                [sim.lane_tally([name]).tolist() for name in gates],
+                sim.tally,
+                sim.planes.tolist(),
+            )
+        ref = results.pop("interpretive")
+        for key, got in results.items():
+            assert got == ref, key
 
     def test_zero_active_branch_is_jumped(self):
         """A conditional whose bit is never set must leave state untouched
